@@ -149,76 +149,91 @@ pub(crate) fn extract_aligned(
 ) -> Vec<f64> {
     let n = members.len();
     let m = members[0].len();
-
-    // Aligned, row-centered member matrix B = X'·Q, where Q = I − (1/m)·O
-    // simply removes each row's mean. Then M = Qᵀ S Q = Bᵀ B. One aligned
-    // scratch row is reused across members — no per-member allocation.
-    let mut b = Matrix::zeros(n, m);
-    let mut aligned_sum = vec![0.0; m];
+    // One aligned scratch row is reused across members — no per-member
+    // allocation.
     let mut aligned = vec![0.0; m];
-    for (r, member) in members.iter().enumerate() {
-        match shifts {
-            Some(sh) => shift_zero_pad_into(member, sh[r], &mut aligned),
-            None => aligned.copy_from_slice(member),
+    let align = |r: usize, out: &mut [f64]| match shifts {
+        Some(sh) => shift_zero_pad_into(members[r], sh[r], out),
+        None => out.copy_from_slice(members[r]),
+    };
+
+    // M = Qᵀ S Q = Bᵀ B for the aligned, row-centered member matrix
+    // B = X'·Q (Q = I − (1/m)·O removes each row's mean). A cluster with
+    // at least m members folds its rows into the m×m Gram one at a time.
+    // A smaller cluster — the common case — gets the same eigenvector far
+    // more cheaply from the n×n dual Gram BBᵀ: if u is its dominant
+    // eigenvector, then Bᵀu (normalized) is M's. Identical result,
+    // O(n²m + n³) instead of O(nm² + m³).
+    let centroid = if n < m {
+        let mut b = Matrix::zeros(n, m);
+        let mut aligned_sum = vec![0.0; m];
+        for r in 0..n {
+            align(r, &mut aligned);
+            center(&aligned, 1.0, &mut aligned_sum, b.row_mut(r));
         }
-        for (acc, v) in aligned_sum.iter_mut().zip(aligned.iter()) {
-            *acc += v;
+        let mut dual = Matrix::zeros(n, n);
+        for r in 0..n {
+            for c in 0..=r {
+                let d = dot_unrolled(b.row(r), b.row(c));
+                dual[(r, c)] = d;
+                dual[(c, r)] = d;
+            }
         }
-        let mean = aligned.iter().sum::<f64>() / m as f64;
-        let row = b.row_mut(r);
-        for (o, v) in row.iter_mut().zip(aligned.iter()) {
-            *o = v - mean;
+        let u = dominant_eigenvector(&dual, method);
+        // v = Bᵀ u.
+        let mut v = vec![0.0; m];
+        for (r, &ur) in u.iter().enumerate() {
+            if ur != 0.0 {
+                for (o, x) in v.iter_mut().zip(b.row(r).iter()) {
+                    *o += ur * x;
+                }
+            }
         }
+        oriented_centroid(v, &aligned_sum)
+    } else {
+        let mut gram = GramAccumulator::new(m);
+        for r in 0..n {
+            align(r, &mut aligned);
+            gram.push_aligned(&aligned);
+        }
+        gram.extract(method)
+    };
+
+    // Degenerate-eigenvector recovery: if the extracted shape collapsed to
+    // a non-finite or all-zero vector (zero centered matrix, repeated
+    // eigenvalues with cancelling components, …), fall back to the
+    // SBD-medoid of the cluster. Deterministic, and unreachable on clean
+    // non-degenerate data.
+    centroid.unwrap_or_else(|| sbd_medoid(members, plan))
+}
+
+/// Adds `sign · aligned` to the running `aligned_sum` and writes the row
+/// minus its mean (`Q` applied) to `centered`.
+fn center(aligned: &[f64], sign: f64, aligned_sum: &mut [f64], centered: &mut [f64]) {
+    for (acc, v) in aligned_sum.iter_mut().zip(aligned.iter()) {
+        *acc += sign * v;
     }
+    let mean = aligned.iter().sum::<f64>() / aligned.len() as f64;
+    for (o, v) in centered.iter_mut().zip(aligned.iter()) {
+        *o = v - mean;
+    }
+}
 
-    // The dominant eigenvector of M = BᵀB (m×m) is the top right singular
-    // vector of B. When the cluster has fewer members than time points —
-    // the common case — it is far cheaper to get it from the n×n dual
-    // Gram matrix BBᵀ: if u is the dominant eigenvector of BBᵀ, then
-    // Bᵀu (normalized) is the dominant eigenvector of BᵀB. Identical
-    // result, O(n²m + n³) instead of O(nm² + m³).
-    let mut centroid =
-        if n < m {
-            let mut dual = Matrix::zeros(n, n);
-            for r in 0..n {
-                for c in 0..=r {
-                    let d = dot_unrolled(b.row(r), b.row(c));
-                    dual[(r, c)] = d;
-                    dual[(c, r)] = d;
-                }
-            }
-            let u = match method {
-                // Lanczos for the single dominant pair (the paper's Eig(M, 1));
-                // a solver failure produces a NaN vector here, which the medoid
-                // fallback below converts into a usable centroid.
-                EigenMethod::Full => try_dominant_symmetric_eigen(&dual)
-                    .map_or_else(|_| vec![f64::NAN; n], |e| e.vector),
-                EigenMethod::Power => power_iteration(&dual, 200, 1e-12).vector,
-            };
-            // v = Bᵀ u.
-            let mut v = vec![0.0; m];
-            for (r, &ur) in u.iter().enumerate() {
-                if ur != 0.0 {
-                    for (o, x) in v.iter_mut().zip(b.row(r).iter()) {
-                        *o += ur * x;
-                    }
-                }
-            }
-            v
-        } else {
-            // Primal path: form M = BᵀB explicitly.
-            let mut mat = Matrix::zeros(m, m);
-            for r in 0..n {
-                mat.rank_one_update(b.row(r), 1.0);
-            }
-            match method {
-                EigenMethod::Full => try_dominant_symmetric_eigen(&mat)
-                    .map_or_else(|_| vec![f64::NAN; m], |e| e.vector),
-                EigenMethod::Power => power_iteration(&mat, 200, 1e-12).vector,
-            }
-        };
+/// The dominant eigenvector of a symmetric PSD matrix. A solver failure
+/// yields a NaN vector, which [`oriented_centroid`] rejects.
+fn dominant_eigenvector(mat: &Matrix, method: EigenMethod) -> Vec<f64> {
+    match method {
+        // Lanczos for the single dominant pair (the paper's Eig(M, 1)).
+        EigenMethod::Full => try_dominant_symmetric_eigen(mat)
+            .map_or_else(|_| vec![f64::NAN; mat.rows()], |e| e.vector),
+        EigenMethod::Power => power_iteration(mat, 200, 1e-12).vector,
+    }
+}
 
-    // Resolve the sign ambiguity: orient toward the aligned members.
+/// Resolves the eigenvector's sign ambiguity toward the aligned members
+/// and z-normalizes it; `None` when the result is degenerate (non-finite
+/// or all-zero).
+fn oriented_centroid(mut centroid: Vec<f64>, aligned_sum: &[f64]) -> Option<Vec<f64>> {
     let dot: f64 = centroid
         .iter()
         .zip(aligned_sum.iter())
@@ -229,39 +244,29 @@ pub(crate) fn extract_aligned(
             *v = -*v;
         }
     }
-
     z_normalize_in_place(&mut centroid);
-
-    // Degenerate-eigenvector recovery: if the extracted shape collapsed to
-    // a non-finite or all-zero vector (zero centered matrix, repeated
-    // eigenvalues with cancelling components, …), fall back to the
-    // SBD-medoid of the cluster. Deterministic, and unreachable on clean
-    // non-degenerate data.
     if centroid.iter().any(|v| !v.is_finite()) || centroid.iter().all(|&v| v == 0.0) {
-        centroid = sbd_medoid(members, plan);
+        return None;
     }
-    centroid
+    Some(centroid)
 }
 
-/// Streaming shape-extraction state for one cluster: the primal matrix
+/// Shape-extraction state for one cluster: the primal matrix
 /// `M = Σᵣ (alignedᵣ − mean·1)(alignedᵣ − mean·1)ᵀ` accumulated one
 /// member at a time, plus the aligned sum used for sign orientation.
 ///
-/// This is the out-of-core twin of [`extract_aligned`]'s primal path
-/// (`n ≥ m`): instead of materializing the full n×m matrix `B` — which
-/// is exactly the footprint an out-of-core fit cannot afford — each
+/// This is the one place `M` is folded and its centroid extracted. Each
 /// aligned member row rank-one-updates the m×m Gram directly and is then
-/// forgotten. Memory is O(m²) per cluster regardless of member count,
-/// and for the same member rows in the same order the accumulated `M`,
-/// `aligned_sum`, and extracted eigenvector match the primal path's
-/// floating-point operations one for one.
+/// forgotten, so memory is O(m²) per cluster regardless of member count.
+/// [`extract_aligned`] uses it for clusters of at least `m` members, the
+/// out-of-core fit keeps one per cluster and channel, and the stream
+/// keeps one per cluster and channel under its decay policy.
 ///
 /// Unlike [`try_shape_extraction`], the degenerate-eigenvector case
 /// cannot fall back to the SBD-medoid (that requires revisiting every
 /// member — a full extra pass); [`GramAccumulator::extract`] returns
 /// `None` instead and the caller picks its own fallback (the
-/// out-of-core fit keeps the previous centroid). This is the one
-/// documented divergence from the in-RAM path, reachable only on
+/// out-of-core fit keeps the previous centroid). Reachable only on
 /// degenerate clusters (e.g. all members constant).
 #[derive(Debug, Clone)]
 pub struct GramAccumulator {
@@ -275,12 +280,29 @@ impl GramAccumulator {
     /// Empty accumulator for series of length `m`.
     #[must_use]
     pub fn new(m: usize) -> Self {
+        GramAccumulator::from_parts(Matrix::zeros(m, m), vec![0.0; m])
+    }
+
+    /// An accumulator holding a restored Gram and aligned sum (a stream
+    /// checkpoint); its member count starts at zero.
+    pub(crate) fn from_parts(mat: Matrix, aligned_sum: Vec<f64>) -> Self {
+        let m = aligned_sum.len();
         GramAccumulator {
-            mat: Matrix::zeros(m, m),
-            aligned_sum: vec![0.0; m],
+            mat,
+            aligned_sum,
             count: 0,
             centered: vec![0.0; m],
         }
+    }
+
+    /// The accumulated `M`.
+    pub(crate) fn gram(&self) -> &Matrix {
+        &self.mat
+    }
+
+    /// The sum of the uncentered aligned rows.
+    pub(crate) fn aligned_sum(&self) -> &[f64] {
+        &self.aligned_sum
     }
 
     /// Resets to the empty state without releasing buffers.
@@ -304,51 +326,52 @@ impl GramAccumulator {
     ///
     /// Panics if `aligned.len()` differs from the accumulator's `m`.
     pub fn push_aligned(&mut self, aligned: &[f64]) {
-        let m = self.aligned_sum.len();
-        assert_eq!(aligned.len(), m, "member length must match accumulator");
-        for (acc, v) in self.aligned_sum.iter_mut().zip(aligned.iter()) {
-            *acc += v;
-        }
-        let mean = aligned.iter().sum::<f64>() / m as f64;
-        for (o, v) in self.centered.iter_mut().zip(aligned.iter()) {
-            *o = v - mean;
-        }
-        self.mat.rank_one_update(&self.centered, 1.0);
+        assert_eq!(
+            aligned.len(),
+            self.aligned_sum.len(),
+            "member length must match accumulator"
+        );
+        self.apply(aligned, 1.0);
         self.count += 1;
+    }
+
+    /// Adds (`sign = 1.0`) or subtracts (`sign = -1.0`) one aligned row
+    /// without counting it — the stream's decayed statistics keep their
+    /// own fractional weight.
+    pub(crate) fn apply(&mut self, aligned: &[f64], sign: f64) {
+        center(aligned, sign, &mut self.aligned_sum, &mut self.centered);
+        self.mat.rank_one_update(&self.centered, sign);
+    }
+
+    /// Scales `M` and the aligned sum by `lambda` (exponential decay).
+    pub(crate) fn scale(&mut self, lambda: f64) {
+        for r in 0..self.aligned_sum.len() {
+            for v in self.mat.row_mut(r) {
+                *v *= lambda;
+            }
+        }
+        for v in &mut self.aligned_sum {
+            *v *= lambda;
+        }
     }
 
     /// Extracts the centroid from the accumulated Gram: the dominant
     /// eigenvector of `M`, sign-oriented toward the aligned sum,
-    /// z-normalized — identical math to [`extract_aligned`]'s primal
-    /// path. Returns `None` for an empty accumulator or a degenerate
-    /// (non-finite / all-zero) eigenvector; the caller chooses the
-    /// fallback.
+    /// z-normalized. Returns `None` for an empty accumulator or a
+    /// degenerate (non-finite / all-zero) eigenvector; the caller chooses
+    /// the fallback.
     #[must_use]
     pub fn extract(&self, method: EigenMethod) -> Option<Vec<f64>> {
         if self.count == 0 {
             return None;
         }
-        let m = self.aligned_sum.len();
-        let mut centroid = match method {
-            EigenMethod::Full => try_dominant_symmetric_eigen(&self.mat)
-                .map_or_else(|_| vec![f64::NAN; m], |e| e.vector),
-            EigenMethod::Power => power_iteration(&self.mat, 200, 1e-12).vector,
-        };
-        let dot: f64 = centroid
-            .iter()
-            .zip(self.aligned_sum.iter())
-            .map(|(a, b)| a * b)
-            .sum();
-        if dot < 0.0 {
-            for v in &mut centroid {
-                *v = -*v;
-            }
-        }
-        z_normalize_in_place(&mut centroid);
-        if centroid.iter().any(|v| !v.is_finite()) || centroid.iter().all(|&v| v == 0.0) {
-            return None;
-        }
-        Some(centroid)
+        self.centroid(method)
+    }
+
+    /// [`Self::extract`] without the member-count check, for statistics
+    /// whose weight the caller tracks.
+    pub(crate) fn centroid(&self, method: EigenMethod) -> Option<Vec<f64>> {
+        oriented_centroid(dominant_eigenvector(&self.mat, method), &self.aligned_sum)
     }
 }
 

@@ -7,7 +7,9 @@
 //!   (Equation 8, Figure 3, Appendix A),
 //! * [`sbd`] — the **shape-based distance** (Equation 9, Algorithm 1),
 //!   computed with a power-of-two-padded FFT, plus the `NoFFT` and
-//!   `NoPow2` ablation variants of Table 2,
+//!   `NoPow2` ablation variants of Table 2; [`Sbd::distance`] also
+//!   compares series of different lengths (footnote 3), optionally under
+//!   uniform scaling,
 //! * [`extraction`] — **shape extraction** (Algorithm 2): the cluster
 //!   centroid as the maximizer of the Rayleigh quotient of `M = QᵀSQ`,
 //! * [`algorithm`] — the **k-Shape** clustering algorithm (Algorithm 3),
@@ -16,8 +18,6 @@
 //!   independent of `n` (Figure 12 scale),
 //! * [`init`] — random and k-shape++-style initializations,
 //! * [`multi`] — multi-restart driver selecting the best run by objective,
-//! * [`sbd_unequal`] — SBD across different lengths (footnote 3) and the
-//!   uniform-scaling variant,
 //! * [`validity`] — selecting the number of clusters k with intrinsic
 //!   criteria (paper footnote 2): silhouette under SBD plus the inertia
 //!   elbow curve.
@@ -60,7 +60,7 @@ pub mod multi;
 pub mod ncc;
 pub mod outofcore;
 pub mod sbd;
-pub mod sbd_unequal;
+mod sbd_unequal;
 pub mod spectra;
 pub mod stream;
 pub mod validity;

@@ -10,8 +10,8 @@
 //! *fuses* the two halves of each iteration:
 //!
 //! * the **assignment sweep** reads each row once (through the view's
-//!   borrow-or-stage contract), FFTs it on the fly into a reused
-//!   [`PreparedSeries`] slot, picks the SBD-nearest centroid — and, in
+//!   borrow-or-stage contract), FFTs it on the fly into reused
+//!   [`PreparedSeries`] slots, picks the SBD-nearest centroid — and, in
 //!   the same touch, folds the row (aligned by the winning shift) into
 //!   the new cluster's [`GramAccumulator`];
 //! * the next **refinement** then extracts every centroid from those
@@ -20,6 +20,15 @@
 //! One row pass per iteration, `O(k·m² + m)` working state, and the
 //! spill window is the only thing standing between the fit and a dataset
 //! bigger than RAM.
+//!
+//! Every row shape runs the same loop. What differs — how a row is
+//! prepared and scored, how it is aligned into the centroid frame, and
+//! how it seeds an empty cluster — is a small per-row kernel: fixed-length
+//! rows (one or more channels) are scored under the summed per-channel
+//! NCC and shifted with zero padding; ragged rows keep their native
+//! length, are scored against the max-length centroid frame through the
+//! unequal-length SBD (paper footnote 3) and are placed into that frame
+//! at the winning offset.
 //!
 //! # Divergences from the in-memory fit
 //!
@@ -46,8 +55,8 @@
 use tsdata::distort::shift_zero_pad_into;
 use tsdata::normalize::z_normalize;
 use tsdata::store::SeriesView;
-use tserror::{ensure_k, TsError, TsResult};
-use tsfft::correlate::autocorr0;
+use tserror::{ensure_finite, ensure_k, TsError, TsResult};
+use tsfft::Complex;
 use tsobs::IterationEvent;
 use tsrand::StdRng;
 use tsrun::RunControl;
@@ -57,6 +66,7 @@ use crate::extraction::GramAccumulator;
 use crate::init::{random_assignment, InitStrategy};
 use crate::sbd::{PreparedSeries, SbdPlan, SbdScratch};
 use crate::sbd_unequal::{place_into_frame, unequal_dist_shift};
+use crate::spectra::{argmin, nearest_centroid};
 
 /// Clusters the rows of `view` into `k` groups with working memory
 /// independent of the row count — the out-of-core counterpart of
@@ -82,6 +92,10 @@ use crate::sbd_unequal::{place_into_frame, unequal_dist_shift};
 ///   in-memory spectrum cache, which is the one thing this path exists
 ///   to avoid — and for views reporting zero channels or combining
 ///   ragged rows with multiple channels;
+/// * [`TsError::LengthMismatch`] for a row whose length differs from the
+///   shape the view reports for it, and [`TsError::NonFinite`] for a row
+///   holding a NaN or infinite sample (each row is checked once, on the
+///   first pass);
 /// * [`TsError::Stopped`] when the budget trips or the token cancels
 ///   (carrying the best labeling so far);
 /// * [`TsError::CorruptData`] if a spilled segment fails validation
@@ -106,18 +120,10 @@ pub fn fit_store<V: SeriesView + ?Sized>(
                 .into(),
         });
     }
-    if view.is_ragged() {
-        return fit_store_ragged(view, opts);
-    }
-    let c = view.channels();
-    if c == 0 {
-        return Err(TsError::NumericalFailure {
-            context: "view reports zero channels".into(),
-        });
-    }
+    let mut kernel = RowKernel::new(view)?;
+    let c = kernel.channels;
     let k = cfg.k;
     let fit_span = obs.span("kshape.ooc.fit");
-    let plan = SbdPlan::new(m);
 
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut labels = random_assignment(n, k, &mut rng);
@@ -128,25 +134,14 @@ pub fn fit_store<V: SeriesView + ?Sized>(
     let mut centroids: Vec<Vec<f64>> = vec![vec![0.0; c * m]; k];
     let mut grams: Vec<GramAccumulator> = (0..k * c).map(|_| GramAccumulator::new(m)).collect();
     let mut dists = vec![0.0f64; n];
-
-    // Every per-row buffer is hoisted out of the sweep: the row staging
-    // area, the FFT scratch, the prepared-spectrum slots (one per
-    // channel), and the aligned copy. The assignment loop below
-    // allocates nothing.
     let mut row_scratch: Vec<f64> = Vec::new();
-    let mut fft_scratch = Vec::new();
-    let mut sbd_scratch = SbdScratch::default();
-    let mut prepared: Vec<PreparedSeries> = (0..c).map(|_| PreparedSeries::empty()).collect();
-    let mut aligned = vec![0.0f64; m];
 
-    // Pass 0: fold every row, unaligned, into its initial cluster's Gram.
-    // The initial centroids are all-zero, which skips alignment — the
-    // same rule the in-memory first refinement applies.
+    // Pass 0: check every row, then fold it, unaligned, into its initial
+    // cluster's Gram. The initial centroids are all-zero, which skips
+    // alignment — the same rule the in-memory first refinement applies.
     for (i, &label) in labels.iter().enumerate() {
-        let row = view.try_row(i, &mut row_scratch)?;
-        for (ch, chunk) in row.chunks_exact(m).enumerate() {
-            grams[label * c + ch].push_aligned(chunk);
-        }
+        let row = checked_row(view, i, &mut row_scratch)?;
+        kernel.fold(row, 0, &mut grams[label * c..(label + 1) * c]);
     }
 
     let mut iterations = 0usize;
@@ -184,11 +179,7 @@ pub fn fit_store<V: SeriesView + ?Sized>(
                 labels[worst] = j;
                 obs.counter("kshape.empty_cluster_reseeds", 1);
                 let row = view.try_row(worst, &mut row_scratch)?;
-                let mut seeded = Vec::with_capacity(c * m);
-                for chunk in row.chunks_exact(m) {
-                    seeded.extend_from_slice(&z_normalize(chunk));
-                }
-                Some(seeded)
+                Some(kernel.seed(row))
             } else {
                 let mut parts: Vec<f64> = Vec::with_capacity(c * m);
                 let mut complete = true;
@@ -218,13 +209,7 @@ pub fn fit_store<V: SeriesView + ?Sized>(
 
         // ----- Fused assignment sweep: one streaming row pass. -----
         let assign_span = obs.span("kshape.ooc.assignment");
-        // Channel-major centroid spectra: `cents[j*c..(j+1)*c]` is
-        // cluster j, matching the per-channel layout of `prepared`.
-        let cents: Vec<PreparedSeries> = centroids
-            .iter()
-            .flat_map(|cent| cent.chunks_exact(m))
-            .map(|chunk| plan.prepare_with(chunk, &mut fft_scratch))
-            .collect();
+        kernel.set_centroids(&centroids);
         obs.counter("sbd.spectra.centroid_ffts", (k * c) as u64);
         for gram in &mut grams {
             gram.clear();
@@ -236,221 +221,15 @@ pub fn fit_store<V: SeriesView + ?Sized>(
                 return Err(RunControl::stop_error(labels, iterations - 1, reason));
             }
             let row = view.try_row(i, &mut row_scratch)?;
-            for (ch, chunk) in row.chunks_exact(m).enumerate() {
-                plan.prepare_into(chunk, &mut prepared[ch], &mut fft_scratch);
-            }
-            let mut best = f64::INFINITY;
-            let mut best_j = 0usize;
-            let mut best_shift = 0isize;
-            for j in 0..k {
-                // x = centroid, y = series: the shift aligns the row
-                // *toward* the centroid, which is exactly what the Gram
-                // it is about to join needs.
-                let (d, s) =
-                    plan.sbd_spectra_multi(&cents[j * c..(j + 1) * c], &prepared, &mut sbd_scratch);
-                if d < best {
-                    best = d;
-                    best_j = j;
-                    best_shift = s;
-                }
-            }
+            let (best, best_j, best_shift) = kernel.nearest(row);
             if labels[i] != best_j {
                 changed += 1;
                 labels[i] = best_j;
             }
             dists[i] = best;
-            for (ch, chunk) in row.chunks_exact(m).enumerate() {
-                shift_zero_pad_into(chunk, best_shift, &mut aligned);
-                grams[best_j * c + ch].push_aligned(&aligned);
-            }
+            kernel.fold(row, best_shift, &mut grams[best_j * c..(best_j + 1) * c]);
         }
         obs.counter("sbd.spectra.series_ffts", (n * c) as u64);
-        obs.counter("sbd.spectra.pair_sweeps", (n * k) as u64);
-        assign_span.end();
-        if obs.is_armed() {
-            let inertia_now: f64 = dists.iter().map(|d| d * d).sum();
-            let shift = deltas
-                .as_deref()
-                .map_or(f64::NAN, |d| d.iter().sum::<f64>().sqrt());
-            obs.iteration(&IterationEvent {
-                algorithm: "kshape-ooc",
-                iter: iterations - 1,
-                inertia: inertia_now,
-                moved: changed,
-                centroid_shift: shift,
-            });
-        }
-        if changed == 0 {
-            converged = true;
-            break;
-        }
-    }
-    obs.counter("kshape.iterations", iterations as u64);
-    fit_span.end();
-    ctrl.report_cost(obs);
-
-    let inertia = dists.iter().map(|d| d * d).sum();
-    Ok(KShapeResult {
-        labels,
-        centroids,
-        iterations,
-        converged,
-        inertia,
-    })
-}
-
-/// The variable-length counterpart of [`fit_store`]: rows keep their
-/// native lengths and are compared to a shared max-length centroid frame
-/// through the unequal-length SBD (paper footnote 3).
-///
-/// The centroid frame is `m_ref = view.series_len()` — the view's
-/// declared maximum row length — and one [`SbdPlan`] sized for `m_ref`
-/// serves every pair, so the padded FFT covers the full `m_ref + len − 1`
-/// lag range of any row. A row's winning alignment places it *into* the
-/// frame at the winning offset (zero-filled elsewhere), which is exactly
-/// the member matrix the frame-sized Gram wants, so refinement is
-/// unchanged from the fixed-length path.
-fn fit_store_ragged<V: SeriesView + ?Sized>(
-    view: &V,
-    opts: &KShapeOptions<'_>,
-) -> TsResult<KShapeResult> {
-    let ctrl = opts.control();
-    let obs = opts.obs();
-    let cfg = &opts.config;
-    let n = view.n_series();
-    let m = view.series_len();
-    if view.channels() != 1 {
-        return Err(TsError::NumericalFailure {
-            context: "ragged multichannel views are unsupported: pad rows to a fixed \
-                      length before stacking channels"
-                .into(),
-        });
-    }
-    let k = cfg.k;
-    let fit_span = obs.span("kshape.ooc.fit");
-    let plan = SbdPlan::new(m);
-
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut labels = random_assignment(n, k, &mut rng);
-    let mut centroids: Vec<Vec<f64>> = vec![vec![0.0; m]; k];
-    let mut grams: Vec<GramAccumulator> = (0..k).map(|_| GramAccumulator::new(m)).collect();
-    let mut dists = vec![0.0f64; n];
-
-    let mut row_scratch: Vec<f64> = Vec::new();
-    let mut sbd_scratch = SbdScratch::default();
-    let mut cc: Vec<f64> = Vec::new();
-    let mut aligned = vec![0.0f64; m];
-
-    // Pass 0: each row enters its initial cluster's Gram left-anchored
-    // and zero-padded to the reference frame — the ragged analogue of
-    // the unaligned first fold.
-    for (i, &label) in labels.iter().enumerate() {
-        let row = view.try_row(i, &mut row_scratch)?;
-        place_into_frame(row, 0, &mut aligned);
-        grams[label].push_aligned(&aligned);
-    }
-
-    let mut iterations = 0usize;
-    let mut converged = false;
-    let mut deltas = if obs.is_armed() {
-        Some(vec![0.0f64; k])
-    } else {
-        None
-    };
-    while iterations < cfg.max_iter {
-        if let Err(reason) = ctrl.check_iteration(iterations) {
-            return Err(RunControl::stop_error(labels, iterations, reason));
-        }
-        iterations += 1;
-        if let Some(d) = deltas.as_deref_mut() {
-            d.fill(0.0);
-        }
-
-        // ----- Refinement: identical to the fixed-length path. -----
-        let refine_span = obs.span("kshape.ooc.refinement");
-        for (j, gram) in grams.iter().enumerate() {
-            if let Err(reason) = ctrl.poll() {
-                return Err(RunControl::stop_error(labels, iterations - 1, reason));
-            }
-            let next = if gram.count() == 0 {
-                let worst = dists
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.total_cmp(b.1))
-                    .map_or(0, |(i, _)| i);
-                labels[worst] = j;
-                obs.counter("kshape.empty_cluster_reseeds", 1);
-                let row = view.try_row(worst, &mut row_scratch)?;
-                let mut seeded = vec![0.0; m];
-                place_into_frame(&z_normalize(row), 0, &mut seeded);
-                Some(seeded)
-            } else {
-                let next = gram.extract(cfg.eigen);
-                if let Err(reason) = ctrl.charge((gram.count() * m + m * m) as u64) {
-                    return Err(RunControl::stop_error(labels, iterations - 1, reason));
-                }
-                next
-            };
-            if let Some(next) = next {
-                if let Some(d) = deltas.as_deref_mut() {
-                    d[j] = l2_delta_sq(&centroids[j], &next);
-                }
-                centroids[j] = next;
-            }
-        }
-        refine_span.end();
-
-        // ----- Assignment: unequal-length SBD against the frame. -----
-        let assign_span = obs.span("kshape.ooc.assignment");
-        let cents: Vec<(PreparedSeries, f64)> = centroids
-            .iter()
-            .map(|cent| (plan.prepare_padded(cent), autocorr0(cent)))
-            .collect();
-        obs.counter("sbd.spectra.centroid_ffts", k as u64);
-        for gram in &mut grams {
-            gram.clear();
-        }
-        let mut changed = 0usize;
-        let pair_cost = (k * m) as u64;
-        for i in 0..n {
-            if let Err(reason) = ctrl.charge(pair_cost) {
-                return Err(RunControl::stop_error(labels, iterations - 1, reason));
-            }
-            let row = view.try_row(i, &mut row_scratch)?;
-            let ny = row.len();
-            let y_r0 = autocorr0(row);
-            let py = plan.prepare_padded(row);
-            let mut best = f64::INFINITY;
-            let mut best_j = 0usize;
-            let mut best_shift = 0isize;
-            for (j, (px, x_r0)) in cents.iter().enumerate() {
-                // x = centroid (full frame), y = the native-length row.
-                let (d, s) = unequal_dist_shift(
-                    &plan,
-                    px,
-                    m,
-                    *x_r0,
-                    &py,
-                    ny,
-                    y_r0,
-                    &mut cc,
-                    &mut sbd_scratch,
-                );
-                if d < best {
-                    best = d;
-                    best_j = j;
-                    best_shift = s;
-                }
-            }
-            if labels[i] != best_j {
-                changed += 1;
-                labels[i] = best_j;
-            }
-            dists[i] = best;
-            place_into_frame(row, best_shift, &mut aligned);
-            grams[best_j].push_aligned(&aligned);
-        }
-        obs.counter("sbd.spectra.series_ffts", n as u64);
         obs.counter("sbd.spectra.pair_sweeps", (n * k) as u64);
         assign_span.end();
         if obs.is_armed() {
@@ -490,11 +269,11 @@ fn fit_store_ragged<V: SeriesView + ?Sized>(
 /// labels changed.
 ///
 /// This is the standalone counterpart of the sweep inside [`fit_store`]
-/// (no Gram accumulation) and the measured kernel of the `scale` bench
-/// group: it never materializes a spectrum cache, so its footprint is
-/// one prepared row regardless of `n`. Results are bit-identical to
-/// [`crate::SpectraEngine`]'s cached `assign` on the same rows and
-/// centroids.
+/// (the same per-row kernel, no Gram accumulation) and the measured
+/// kernel of the `scale` bench group: it never materializes a spectrum
+/// cache, so its footprint is one prepared row regardless of `n`.
+/// Results are bit-identical to [`crate::SpectraEngine`]'s cached
+/// `assign` on the same rows and centroids.
 ///
 /// Multichannel views dispatch through the summed per-channel NCC
 /// (centroids must hold `channels·m` channel-major samples); ragged
@@ -505,8 +284,10 @@ fn fit_store_ragged<V: SeriesView + ?Sized>(
 ///
 /// * [`TsError::EmptyInput`] for no rows or no centroids;
 /// * [`TsError::LengthMismatch`] when `labels`/`dists` lengths differ
-///   from the row count, or a centroid's sample count differs from the
-///   view's `channels·m`;
+///   from the row count, a centroid's sample count differs from the
+///   view's `channels·m`, or a row's length differs from the shape the
+///   view reports for it;
+/// * [`TsError::NonFinite`] for a row holding a NaN or infinite sample;
 /// * [`TsError::NumericalFailure`] for views reporting zero channels or
 ///   combining ragged rows with multiple channels;
 /// * [`TsError::CorruptData`] if a spilled segment fails validation
@@ -522,15 +303,8 @@ pub fn assign_store<V: SeriesView + ?Sized>(
     if n == 0 || m == 0 || centroids.is_empty() {
         return Err(TsError::EmptyInput);
     }
-    let ragged = view.is_ragged();
-    let c = view.channels();
-    if c == 0 || (ragged && c != 1) {
-        return Err(TsError::NumericalFailure {
-            context: "view must report at least one channel, and ragged views are \
-                      single-channel"
-                .into(),
-        });
-    }
+    let mut kernel = RowKernel::new(view)?;
+    let c = kernel.channels;
     for found in [labels.len(), dists.len()] {
         if found != n {
             return Err(TsError::LengthMismatch {
@@ -549,71 +323,12 @@ pub fn assign_store<V: SeriesView + ?Sized>(
             });
         }
     }
-    let plan = SbdPlan::new(m);
-    let mut sbd_scratch = SbdScratch::default();
+    kernel.set_centroids(centroids);
     let mut row_scratch: Vec<f64> = Vec::new();
     let mut changed = 0usize;
-    if ragged {
-        let mut cc: Vec<f64> = Vec::new();
-        let cents: Vec<(PreparedSeries, f64)> = centroids
-            .iter()
-            .map(|cent| (plan.prepare_padded(cent), autocorr0(cent)))
-            .collect();
-        for i in 0..n {
-            let row = view.try_row(i, &mut row_scratch)?;
-            let ny = row.len();
-            let y_r0 = autocorr0(row);
-            let py = plan.prepare_padded(row);
-            let mut best = f64::INFINITY;
-            let mut best_j = 0usize;
-            for (j, (px, x_r0)) in cents.iter().enumerate() {
-                let (d, _) = unequal_dist_shift(
-                    &plan,
-                    px,
-                    m,
-                    *x_r0,
-                    &py,
-                    ny,
-                    y_r0,
-                    &mut cc,
-                    &mut sbd_scratch,
-                );
-                if d < best {
-                    best = d;
-                    best_j = j;
-                }
-            }
-            if labels[i] != best_j {
-                changed += 1;
-                labels[i] = best_j;
-            }
-            dists[i] = best;
-        }
-        return Ok(changed);
-    }
-    let mut fft_scratch = Vec::new();
-    let mut prepared: Vec<PreparedSeries> = (0..c).map(|_| PreparedSeries::empty()).collect();
-    let cents: Vec<PreparedSeries> = centroids
-        .iter()
-        .flat_map(|cent| cent.chunks_exact(m))
-        .map(|chunk| plan.prepare_with(chunk, &mut fft_scratch))
-        .collect();
-    let k = centroids.len();
     for i in 0..n {
-        let row = view.try_row(i, &mut row_scratch)?;
-        for (ch, chunk) in row.chunks_exact(m).enumerate() {
-            plan.prepare_into(chunk, &mut prepared[ch], &mut fft_scratch);
-        }
-        let mut best = f64::INFINITY;
-        let mut best_j = 0usize;
-        for j in 0..k {
-            let (d, _) =
-                plan.sbd_spectra_multi(&cents[j * c..(j + 1) * c], &prepared, &mut sbd_scratch);
-            if d < best {
-                best = d;
-                best_j = j;
-            }
-        }
+        let row = checked_row(view, i, &mut row_scratch)?;
+        let (best, best_j, _) = kernel.nearest(row);
         if labels[i] != best_j {
             changed += 1;
             labels[i] = best_j;
@@ -621,6 +336,134 @@ pub fn assign_store<V: SeriesView + ?Sized>(
         dists[i] = best;
     }
     Ok(changed)
+}
+
+/// Row `i` of `view`, checked: it must hold exactly the samples its
+/// shape promises, all finite.
+fn checked_row<'s, V: SeriesView + ?Sized>(
+    view: &'s V,
+    i: usize,
+    scratch: &'s mut Vec<f64>,
+) -> TsResult<&'s [f64]> {
+    let row = view.try_row(i, scratch)?;
+    let expected = view.row_shape(i).samples();
+    if row.len() != expected {
+        return Err(TsError::LengthMismatch {
+            expected,
+            found: row.len(),
+            series: i,
+        });
+    }
+    ensure_finite(row, i)?;
+    Ok(row)
+}
+
+/// The per-row half of the out-of-core sweeps: everything that differs
+/// between a fixed-length row (any channel count) and a ragged one.
+/// Every buffer lives here, so a sweep allocates nothing per row beyond
+/// a ragged row's padded spectrum.
+struct RowKernel {
+    plan: SbdPlan,
+    m: usize,
+    channels: usize,
+    ragged: bool,
+    /// Centroid spectra, `channels` per centroid, channel-major.
+    cents: Vec<PreparedSeries>,
+    /// The current row's per-channel spectra.
+    row: Vec<PreparedSeries>,
+    fft: Vec<Complex>,
+    sbd: SbdScratch,
+    /// Lag buffer of the unequal-length SBD (ragged rows).
+    cc: Vec<f64>,
+    aligned: Vec<f64>,
+}
+
+impl RowKernel {
+    /// The kernel for `view`'s row shape: frame length `m =
+    /// view.series_len()` (the longest row of a ragged view).
+    ///
+    /// # Errors
+    ///
+    /// [`TsError::NumericalFailure`] for views reporting zero channels or
+    /// combining ragged rows with multiple channels.
+    fn new<V: SeriesView + ?Sized>(view: &V) -> TsResult<Self> {
+        let (m, channels, ragged) = (view.series_len(), view.channels(), view.is_ragged());
+        if channels == 0 || (ragged && channels != 1) {
+            return Err(TsError::NumericalFailure {
+                context: "view must report at least one channel, and ragged views are \
+                          single-channel: pad rows to a fixed length before stacking channels"
+                    .into(),
+            });
+        }
+        Ok(RowKernel {
+            plan: SbdPlan::new(m),
+            m,
+            channels,
+            ragged,
+            cents: Vec::new(),
+            row: (0..channels).map(|_| PreparedSeries::empty()).collect(),
+            fft: Vec::new(),
+            sbd: SbdScratch::default(),
+            cc: Vec::new(),
+            aligned: vec![0.0; m],
+        })
+    }
+
+    /// Transforms the centroids for the next sweep: one forward rFFT per
+    /// centroid channel.
+    fn set_centroids(&mut self, centroids: &[Vec<f64>]) {
+        let (plan, fft, m) = (&self.plan, &mut self.fft, self.m);
+        self.cents = centroids
+            .iter()
+            .flat_map(|cent| cent.chunks_exact(m))
+            .map(|chunk| plan.prepare_with(chunk, fft))
+            .collect();
+    }
+
+    /// Prepares `row` and returns its nearest centroid as `(distance,
+    /// index, shift)`; the shift aligns the row toward that centroid.
+    fn nearest(&mut self, row: &[f64]) -> (f64, usize, isize) {
+        let m = self.m;
+        if self.ragged {
+            // x = centroid (full frame), y = the native-length row.
+            self.row[0] = self.plan.prepare_padded(row);
+            let (plan, py, cc, sbd) = (&self.plan, &self.row[0], &mut self.cc, &mut self.sbd);
+            return argmin(
+                self.cents
+                    .iter()
+                    .map(|px| unequal_dist_shift(plan, px, m, py, row.len(), cc, sbd)),
+            );
+        }
+        for (slot, chunk) in self.row.iter_mut().zip(row.chunks_exact(m)) {
+            self.plan.prepare_into(chunk, slot, &mut self.fft);
+        }
+        nearest_centroid(&self.plan, &self.cents, &self.row, &mut self.sbd)
+    }
+
+    /// Folds `row`, aligned into the centroid frame by `shift`, into one
+    /// cluster's per-channel Grams.
+    fn fold(&mut self, row: &[f64], shift: isize, grams: &mut [GramAccumulator]) {
+        if self.ragged {
+            place_into_frame(row, shift, &mut self.aligned);
+            grams[0].push_aligned(&self.aligned);
+            return;
+        }
+        for (gram, chunk) in grams.iter_mut().zip(row.chunks_exact(self.m)) {
+            shift_zero_pad_into(chunk, shift, &mut self.aligned);
+            gram.push_aligned(&self.aligned);
+        }
+    }
+
+    /// A centroid seeded from `row`: each channel z-normalized, a ragged
+    /// row placed left-anchored into the frame.
+    fn seed(&self, row: &[f64]) -> Vec<f64> {
+        if self.ragged {
+            let mut seeded = vec![0.0; self.m];
+            place_into_frame(&z_normalize(row), 0, &mut seeded);
+            return seeded;
+        }
+        row.chunks_exact(self.m).flat_map(z_normalize).collect()
+    }
 }
 
 #[cfg(test)]

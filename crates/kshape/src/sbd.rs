@@ -797,40 +797,18 @@ impl Sbd {
         self.cached.stats().merged(self.cached_bluestein.stats())
     }
 
-    /// Unequal-length SBD through the bounded plan cache.
-    ///
-    /// Plans are keyed by the *longer* input's length (whose padding
-    /// covers the full `nx + ny − 1` lag range), so repeated queries
-    /// against a fixed-length reference set — 1-NN over a mixed archive,
-    /// sub-sequence search — hit the same cached plans as the
-    /// equal-length hot path. Always uses the power-of-two real-FFT
-    /// pipeline regardless of the configured [`CorrMethod`].
-    ///
-    /// # Errors
-    ///
-    /// [`TsError::EmptyInput`] when either sequence is empty,
-    /// [`TsError::NonFinite`] on NaN/infinite samples.
-    pub fn try_sbd_unequal(&self, x: &[f64], y: &[f64]) -> TsResult<SbdResult> {
-        if x.is_empty() || y.is_empty() {
-            return Err(TsError::EmptyInput);
-        }
-        tserror::ensure_finite(x, 0)?;
-        tserror::ensure_finite(y, 1)?;
-        let m = x.len().max(y.len());
-        let plan = self.cached.get_or_insert(m, || SbdPlan::new(m));
-        if x.len() == y.len() {
-            return Ok(plan.sbd_prepared(&plan.prepare(x), y));
-        }
-        Ok(crate::sbd_unequal::unequal_with_plan(&plan, x, y))
-    }
-
     /// The unified shape-aware SBD entry point: dispatches equal-length,
     /// unequal-length (padded lags or uniform-scaling rescale), and
     /// multichannel SBD from one call, all through the bounded plan
     /// cache.
     ///
     /// With the default [`SbdOptions`] this is exactly the cached
-    /// univariate kernel (bit-identical to [`Sbd::try_sbd_unequal`]).
+    /// univariate kernel. Unequal univariate lengths are compared over the
+    /// padded `nx + ny − 1` lag range with the plan keyed by the *longer*
+    /// length (whose padding covers every lag), so queries against a
+    /// fixed-length reference set — 1-NN over a mixed archive,
+    /// sub-sequence search — hit the same cached plans as the
+    /// equal-length hot path.
     /// With `channels = c > 1`, both inputs are read channel-major
     /// (`c · m` samples), the distance is the summed per-channel NCC of
     /// [`SbdPlan::sbd_spectra_multi`], and `aligned` holds `y` with every
@@ -1251,17 +1229,19 @@ mod tests {
         let y: Vec<f64> = (0..48).map(|i| (i as f64 * 0.23 + 0.9).cos()).collect();
         let short: Vec<f64> = y[10..31].to_vec();
         let opts = SbdOptions::new();
+        let plan = SbdPlan::new(48);
         // Equal lengths.
         let a = d.distance(&x, &y, &opts).unwrap();
-        let b = d.try_sbd_unequal(&x, &y).unwrap();
+        let b = plan.sbd_prepared(&plan.prepare(&x), &y);
         assert_eq!(a.dist.to_bits(), b.dist.to_bits());
         assert_eq!(a.shift, b.shift);
         assert_eq!(a.aligned, b.aligned);
         // Unequal lengths route through the padded-plan path.
         let a = d.distance(&x, &short, &opts).unwrap();
-        let b = d.try_sbd_unequal(&x, &short).unwrap();
+        let b = crate::sbd_unequal::unequal_with_plan(&plan, &x, &short);
         assert_eq!(a.dist.to_bits(), b.dist.to_bits());
         assert_eq!(a.shift, b.shift);
+        assert_eq!(a.aligned, b.aligned);
         // Rescale stretches the shorter input first.
         let r = d
             .distance(&x, &short, &SbdOptions::new().with_rescale(true))

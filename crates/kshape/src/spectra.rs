@@ -327,34 +327,6 @@ impl<'a, V: SeriesView + ?Sized> SpectraEngine<'a, V> {
         out
     }
 
-    /// Nearest centroid of series `i`: `(distance, centroid index,
-    /// alignment shift)`, first minimum winning ties. `cents` holds
-    /// `k · channels` prepared spectra, channel-major per centroid.
-    fn nearest(
-        &self,
-        cents: &[PreparedSeries],
-        i: usize,
-        scratch: &mut SbdScratch,
-    ) -> (f64, usize, isize) {
-        let c = self.channels;
-        let sp = self.spectra_of(i);
-        let mut best = f64::INFINITY;
-        let mut best_j = 0usize;
-        let mut best_shift = 0isize;
-        for (j, cent) in cents.chunks_exact(c).enumerate() {
-            // Argument order matters: x = centroid, y = series, so the
-            // shift aligns the series *toward* the centroid — exactly
-            // what the next refinement's shape extraction consumes.
-            let (d, s) = self.plan.sbd_spectra_multi(cent, sp, scratch);
-            if d < best {
-                best = d;
-                best_j = j;
-                best_shift = s;
-            }
-        }
-        (best, best_j, best_shift)
-    }
-
     /// Batched assignment sweep: for every series, the SBD-nearest
     /// centroid. Writes each series' label, distance, and alignment shift
     /// to its slot and returns how many labels changed.
@@ -382,7 +354,8 @@ impl<'a, V: SeriesView + ?Sized> SpectraEngine<'a, V> {
             let mut scratch = SbdScratch::default();
             let mut changed = 0usize;
             for i in 0..n {
-                let (best, best_j, best_shift) = self.nearest(cents, i, &mut scratch);
+                let (best, best_j, best_shift) =
+                    nearest_centroid(&self.plan, cents, self.spectra_of(i), &mut scratch);
                 dists[i] = best;
                 shifts[i] = best_shift;
                 if best_j != labels[i] {
@@ -412,8 +385,12 @@ impl<'a, V: SeriesView + ?Sized> SpectraEngine<'a, V> {
                         .zip(sc.iter_mut())
                         .enumerate()
                     {
-                        let (best, best_j, best_shift) =
-                            self.nearest(cents, t * chunk + o, &mut scratch);
+                        let (best, best_j, best_shift) = nearest_centroid(
+                            &self.plan,
+                            cents,
+                            self.spectra_of(t * chunk + o),
+                            &mut scratch,
+                        );
                         *d = best;
                         *sh = best_shift;
                         if best_j != *lab {
@@ -576,6 +553,42 @@ pub fn try_sbd_matrix_with_control(
     ctrl: &RunControl,
 ) -> TsResult<Vec<f64>> {
     SpectraEngine::new(series, threads)?.try_matrix_with_control(ctrl)
+}
+
+/// Nearest of the centroids `cents` to one row's per-channel spectra
+/// `row` — the one assignment kernel behind [`SpectraEngine`]'s sweep, the
+/// out-of-core sweeps and the stream. `cents` holds `row.len()` spectra
+/// per centroid, channel-major; each pair is scored by
+/// [`SbdPlan::sbd_spectra_multi`]. Returns `(distance, centroid index,
+/// shift)`.
+///
+/// Argument order matters: x = centroid, y = row, so the shift aligns the
+/// row *toward* the centroid — exactly what the next shape extraction
+/// consumes.
+pub(crate) fn nearest_centroid(
+    plan: &SbdPlan,
+    cents: &[PreparedSeries],
+    row: &[PreparedSeries],
+    scratch: &mut SbdScratch,
+) -> (f64, usize, isize) {
+    argmin(
+        cents
+            .chunks_exact(row.len())
+            .map(|cent| plan.sbd_spectra_multi(cent, row, scratch)),
+    )
+}
+
+/// The nearest centroid under per-centroid `(distance, shift)` scores
+/// taken in index order: `(distance, index, shift)`. The strict `<` keeps
+/// the lowest index on a tie, and a NaN score never wins.
+pub(crate) fn argmin(scores: impl IntoIterator<Item = (f64, isize)>) -> (f64, usize, isize) {
+    let mut best = (f64::INFINITY, 0, 0);
+    for (j, (d, s)) in scores.into_iter().enumerate() {
+        if d < best.0 {
+            best = (d, j, s);
+        }
+    }
+    best
 }
 
 /// Effective worker count for `items` independent slots.

@@ -10,7 +10,8 @@
 //!   ([`SbdPlan::sbd_spectra`]) — one FFT per arrival, centroid spectra
 //!   cached across arrivals.
 //! * **Fold into sufficient statistics.** The aligned arrival is folded
-//!   into its cluster's `S` matrix by a rank-one update, under one of
+//!   into its cluster's `S` matrix by a rank-one update (the
+//!   [`GramAccumulator`] the batch extraction uses), under one of
 //!   three [`Decay`] variants: append-only (all history, equal weight),
 //!   exponential (recent history dominates), or windowed (exact sliding
 //!   window, old rows subtracted back out).
@@ -61,15 +62,14 @@ use tsdata::distort::shift_zero_pad;
 use tsdata::normalize::{try_z_normalize_series, z_normalize_in_place};
 use tserror::{TsError, TsResult};
 use tsfft::Complex;
-use tslinalg::dominant::try_dominant_symmetric_eigen;
-use tslinalg::power::power_iteration;
 use tslinalg::Matrix;
 use tsobs::{IterationEvent, JsonValue, Obs};
 use tsrun::{default_retryable, derive_seed, retry_with_reseed, Budget, RunControl};
 
 use crate::algorithm::{KShape, KShapeOptions};
-use crate::extraction::EigenMethod;
+use crate::extraction::{EigenMethod, GramAccumulator};
 use crate::sbd::{PreparedSeries, SbdPlan, SbdScratch};
+use crate::spectra::nearest_centroid;
 
 /// Salt separating the stream's fit-seed sequence from any batch run
 /// sharing the same base seed.
@@ -580,15 +580,14 @@ impl Reseeder for KShapeReseeder {
     }
 }
 
-/// Per-cluster sufficient statistics: `S` (aligned, row-centered Gram
-/// accumulator, i.e. the paper's `M` built incrementally), the sum of
-/// uncentered aligned rows (sign orientation), the accumulated weight,
-/// and — for [`Decay::Windowed`] — the member window itself.
+/// Per-cluster sufficient statistics: the [`GramAccumulator`] holding `S`
+/// (aligned, row-centered — the paper's `M` built incrementally) and the
+/// sum of uncentered aligned rows (sign orientation), the accumulated
+/// weight, and — for [`Decay::Windowed`] — the member window itself.
 #[derive(Debug, Clone)]
 struct ClusterStats {
     weight: f64,
-    s: Matrix,
-    aligned_sum: Vec<f64>,
+    gram: GramAccumulator,
     members: VecDeque<Vec<f64>>,
 }
 
@@ -596,35 +595,15 @@ impl ClusterStats {
     fn empty(m: usize) -> Self {
         ClusterStats {
             weight: 0.0,
-            s: Matrix::zeros(m, m),
-            aligned_sum: vec![0.0; m],
+            gram: GramAccumulator::new(m),
             members: VecDeque::new(),
         }
-    }
-
-    fn scale(&mut self, lambda: f64) {
-        let m = self.aligned_sum.len();
-        for r in 0..m {
-            for v in self.s.row_mut(r) {
-                *v *= lambda;
-            }
-        }
-        for v in &mut self.aligned_sum {
-            *v *= lambda;
-        }
-        self.weight *= lambda;
     }
 
     /// Adds (`sign = 1.0`) or subtracts (`sign = -1.0`) one *uncentered*
     /// aligned row.
     fn apply_row(&mut self, aligned: &[f64], sign: f64) {
-        let m = aligned.len();
-        let mean = aligned.iter().sum::<f64>() / m as f64;
-        let centered: Vec<f64> = aligned.iter().map(|v| v - mean).collect();
-        self.s.rank_one_update(&centered, sign);
-        for (acc, v) in self.aligned_sum.iter_mut().zip(aligned) {
-            *acc += sign * v;
-        }
+        self.gram.apply(aligned, sign);
         self.weight += sign;
     }
 
@@ -633,7 +612,8 @@ impl ClusterStats {
         match decay {
             Decay::AppendOnly => self.apply_row(aligned, 1.0),
             Decay::Exponential { lambda } => {
-                self.scale(lambda);
+                self.gram.scale(lambda);
+                self.weight *= lambda;
                 self.apply_row(aligned, 1.0);
             }
             Decay::Windowed { window } => {
@@ -655,28 +635,7 @@ impl ClusterStats {
         if self.weight < 0.5 {
             return None;
         }
-        let mut centroid = match eigen {
-            EigenMethod::Full => try_dominant_symmetric_eigen(&self.s).ok()?.vector,
-            EigenMethod::Power => power_iteration(&self.s, 200, 1e-12).vector,
-        };
-        if centroid.iter().any(|v| !v.is_finite()) || centroid.iter().all(|&v| v == 0.0) {
-            return None;
-        }
-        let orient: f64 = centroid
-            .iter()
-            .zip(&self.aligned_sum)
-            .map(|(c, s)| c * s)
-            .sum();
-        if orient < 0.0 {
-            for v in &mut centroid {
-                *v = -*v;
-            }
-        }
-        z_normalize_in_place(&mut centroid);
-        if centroid.iter().any(|v| !v.is_finite()) || centroid.iter().all(|&v| v == 0.0) {
-            return None;
-        }
-        Some(centroid)
+        self.gram.centroid(eigen)
     }
 }
 
@@ -867,18 +826,12 @@ impl StreamKShape {
         for chunk in z.chunks_exact(m) {
             preps.push(self.plan.prepare_with(chunk, &mut self.fft_scratch));
         }
-        let mut best = (0usize, f64::INFINITY, 0isize);
-        for j in 0..self.config.k {
-            let (dist, shift) = self.plan.sbd_spectra_multi(
-                &self.centroid_spectra[j * c..(j + 1) * c],
-                &preps,
-                &mut self.scratch,
-            );
-            if dist < best.1 {
-                best = (j, dist, shift);
-            }
-        }
-        let (label, dist, shift) = best;
+        let (dist, label, shift) = nearest_centroid(
+            &self.plan,
+            &self.centroid_spectra,
+            &preps,
+            &mut self.scratch,
+        );
         for (ch, chunk) in z.chunks_exact(m).enumerate() {
             let aligned = shift_zero_pad(chunk, shift);
             self.clusters[label * c + ch].fold(&aligned, self.config.decay);
@@ -1225,9 +1178,9 @@ impl StreamKShape {
             }
             out.push_str(&format!("{{\"weight\":{}", fmt_f64(c.weight)));
             out.push_str(",\"aligned_sum\":");
-            push_row(&mut out, &c.aligned_sum);
+            push_row(&mut out, c.gram.aligned_sum());
             out.push_str(",\"s\":");
-            push_row(&mut out, c.s.as_slice());
+            push_row(&mut out, c.gram.gram().as_slice());
             out.push_str(",\"members\":");
             push_rows(&mut out, c.members.iter());
             out.push('}');
@@ -1327,8 +1280,7 @@ impl StreamKShape {
                 .collect();
             clusters.push(ClusterStats {
                 weight,
-                s: Matrix::from_vec(m, m, s_flat),
-                aligned_sum,
+                gram: GramAccumulator::from_parts(Matrix::from_vec(m, m, s_flat), aligned_sum),
                 members,
             });
         }

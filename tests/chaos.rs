@@ -94,6 +94,32 @@ tscheck::props! {
         assert_clustering_contract(&outcome, n, k, nf || ragged);
     }
 
+    #[cases(24)]
+    fn out_of_core_fit_and_assign_survive_chaos(g) {
+        // A slice view hands its rows over unchecked: the out-of-core
+        // loop itself must turn a bad row into a typed error.
+        let n = g.usize_in(5..12);
+        let m = g.usize_in(8..24);
+        let mut series = clean_series(g, n, m);
+        let (nf, ragged) = inject(g, &mut series, &FaultKind::ALL);
+        let corrupt = nf || ragged;
+        let k = g.usize_in(1..4);
+        let opts = kshape::KShapeOptions::new(k).with_seed(g.u64_in(0..1 << 32)).with_max_iter(10);
+        let fit = kshape::fit_store(&series[..], &opts);
+        if let Ok(fit) = &fit {
+            assert!(fit.inertia.is_finite(), "non-finite inertia from a clean view");
+        }
+        assert_clustering_contract(&fit.map(|r| (r.labels, r.centroids)), n, k, corrupt);
+        let centroids = clean_series(g, k, series[0].len().max(1));
+        let mut labels = vec![0usize; n];
+        let mut dists = vec![0.0f64; n];
+        if kshape::assign_store(&series[..], &centroids, &mut labels, &mut dists).is_ok() {
+            assert!(!corrupt, "corrupt view assigned successfully");
+            assert!(dists.iter().all(|d| d.is_finite()));
+            assert!(labels.iter().all(|&l| l < k));
+        }
+    }
+
     #[cases(12)]
     fn kshape_restarts_and_sweep_survive_chaos(g) {
         let n = g.usize_in(6..10);
@@ -393,6 +419,86 @@ tscheck::props! {
             Err(e) => panic!("unexpected dataset normalization error: {e}"),
         }
     }
+}
+
+/// Twelve clean rows of length 32 for the bad-row test below.
+fn twelve_rows() -> Vec<Vec<f64>> {
+    (0..12)
+        .map(|i| {
+            z_normalize(
+                &(0..32)
+                    .map(|t| {
+                        (t as f64 * 0.3 + i as f64).sin()
+                            + if i % 2 == 0 { 0.0 } else { 0.02 * t as f64 }
+                    })
+                    .collect::<Vec<f64>>(),
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn out_of_core_entry_points_reject_bad_view_rows() {
+    let opts = kshape::KShapeOptions::new(2).with_seed(3);
+    let centroids = twelve_rows()[..2].to_vec();
+    let assign = |rows: &[Vec<f64>]| {
+        let (mut labels, mut dists) = (vec![0usize; rows.len()], vec![0.0f64; rows.len()]);
+        kshape::assign_store(rows, &centroids, &mut labels, &mut dists)
+    };
+
+    let mut nan = twelve_rows();
+    nan[3][5] = f64::NAN;
+    assert!(matches!(
+        kshape::fit_store(&nan[..], &opts),
+        Err(TsError::NonFinite {
+            series: 3,
+            index: 5
+        })
+    ));
+    assert!(matches!(
+        assign(&nan),
+        Err(TsError::NonFinite {
+            series: 3,
+            index: 5
+        })
+    ));
+    // The in-memory fit reports the same row.
+    assert!(matches!(
+        kshape::KShape::fit_with(&nan, &opts),
+        Err(TsError::NonFinite {
+            series: 3,
+            index: 5
+        })
+    ));
+
+    let mut inf = twelve_rows();
+    inf[3][5] = f64::INFINITY;
+    assert!(matches!(
+        kshape::fit_store(&inf[..], &opts),
+        Err(TsError::NonFinite {
+            series: 3,
+            index: 5
+        })
+    ));
+
+    let mut short = twelve_rows();
+    short[3].truncate(20);
+    assert!(matches!(
+        kshape::fit_store(&short[..], &opts),
+        Err(TsError::LengthMismatch {
+            expected: 32,
+            found: 20,
+            series: 3
+        })
+    ));
+    assert!(matches!(
+        assign(&short),
+        Err(TsError::LengthMismatch {
+            expected: 32,
+            found: 20,
+            series: 3
+        })
+    ));
 }
 
 // ---------------------------------------------------------------------------
